@@ -17,7 +17,7 @@
 use metro_harness::{Artifact, ArtifactOutput, Json, ResultsDir, RunCtx};
 use metro_sim::engine::analytic::estimate_latency;
 use metro_sim::scenario::run_scenario;
-use metro_sim::LatencyStats;
+use metro_telemetry::Histogram;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -40,7 +40,7 @@ pub fn artifact() -> Artifact {
     }
 }
 
-fn quantiles(stats: &mut LatencyStats) -> [u64; 3] {
+fn quantiles(stats: &mut Histogram) -> [u64; 3] {
     QUANTILES.map(|q| stats.percentile(q))
 }
 
@@ -60,7 +60,7 @@ fn run(ctx: &RunCtx) -> Result<ArtifactOutput, String> {
     let started = Instant::now();
     let truth = run_scenario(&timed).map_err(|e| e.to_string())?;
     let flat_secs = started.elapsed().as_secs_f64();
-    let mut truth_stats = LatencyStats::new();
+    let mut truth_stats = Histogram::new();
     for o in &truth.outcomes {
         truth_stats.record(o.total_latency());
     }

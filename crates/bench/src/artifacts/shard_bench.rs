@@ -33,7 +33,7 @@ fn build(shards: usize) -> NetworkSim {
         ..scenario.sim.clone()
     };
     let mut sim = NetworkSim::new(&scenario.topology, &config).expect("metro1k spec is valid");
-    sim.set_trace_interval(1_024);
+    sim.set_telemetry_interval(1_024);
     sim
 }
 

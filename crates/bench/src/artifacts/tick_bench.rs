@@ -31,7 +31,7 @@ fn build(kind: EngineKind) -> NetworkSim {
     let mut sim = NetworkSim::new(&spec, &config).expect("Figure 3 spec is valid");
     // Decimate trace snapshots identically for both engines so the
     // comparison isolates the tick engine itself.
-    sim.set_trace_interval(1_024);
+    sim.set_telemetry_interval(1_024);
     sim
 }
 

@@ -6,7 +6,7 @@
 
 use metro_sim::engine::analytic::estimate_latency;
 use metro_sim::scenario::{codec, run_scenario, Scenario, WorkloadSpec};
-use metro_sim::LatencyStats;
+use metro_telemetry::Histogram;
 use std::path::PathBuf;
 
 /// Maximum relative error at the median.
@@ -46,7 +46,7 @@ fn truth_quantiles(scenario: &Scenario) -> (u64, u64) {
     match &result.point {
         Some(p) => (p.p50_latency, p.p95_latency),
         None => {
-            let mut h = LatencyStats::new();
+            let mut h = Histogram::new();
             for o in &result.outcomes {
                 h.record(o.total_latency());
             }

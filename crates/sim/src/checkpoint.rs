@@ -33,7 +33,7 @@
 
 use crate::network::NetworkSim;
 use crate::scenario::codec::{self, check_fields, dec_arr, dec_str, dec_u64, err, get, CodecError};
-use crate::scenario::{apply_due_injections, Scenario, ScenarioResult, WorkloadSpec};
+use crate::scenario::{InjectionSchedule, Scenario, ScenarioResult, SendSpec, WorkloadSpec};
 use crate::workload::{StreamRecipe, StreamSeeds, WorkloadDriver};
 use metro_harness::Json;
 use metro_telemetry::{StateError, StateReader, StateWriter};
@@ -469,8 +469,7 @@ pub fn run_scenario_resumable(
     let mut sim = NetworkSim::from_scenario(scenario)?;
     let n = sim.topology().endpoints();
     let mut active = scenario.faults.clone();
-    let mut pending = scenario.injections.clone();
-    pending.sort_by_key(|i| i.at);
+    let mut pending = InjectionSchedule::new(&scenario.injections);
     let (start_phase, start_cycle) = match resume {
         Some(c) => (c.phase, c.cycle),
         None => (RunPhase::Main, 0),
@@ -478,10 +477,8 @@ pub fn run_scenario_resumable(
     // Replay the injection schedule up to the resume point. The loop
     // below applies injections with `at <= now` at the start of cycle
     // `now`, so everything with `at < start_cycle` has already merged.
-    while pending.first().is_some_and(|i| i.at < start_cycle) {
-        let injection = pending.remove(0);
-        active.merge(&injection.faults);
-        injection.repairs.apply_to(&mut active);
+    if start_cycle > 0 {
+        pending.merge_due(&mut active, start_cycle - 1);
     }
 
     let mut point = None;
@@ -521,7 +518,7 @@ pub fn run_scenario_resumable(
                 if cycle == *warmup {
                     sim.reset_stats();
                 }
-                apply_due_injections(&mut sim, &mut pending, &mut active, cycle);
+                pending.apply_due(&mut sim, &mut active, cycle);
                 driver.poll(cycle, |a| {
                     if a.payload_words == payload.len() {
                         sim.send(a.src, a.dest, &payload);
@@ -549,7 +546,7 @@ pub fn run_scenario_resumable(
                 if sim.is_quiescent() {
                     break;
                 }
-                apply_due_injections(&mut sim, &mut pending, &mut active, cycle);
+                pending.apply_due(&mut sim, &mut active, cycle);
                 sim.tick();
                 take_checkpoint(
                     &mut hook,
@@ -577,21 +574,20 @@ pub fn run_scenario_resumable(
             if let Some(c) = resume {
                 c.restore_into(&mut sim, None)?;
             }
-            let mut queue = sends.clone();
+            // A stable sort keeps sends sharing one `at` in file order;
+            // the cursor consumes them without shifting the list.
+            let mut queue: Vec<&SendSpec> = sends.iter().collect();
             queue.sort_by_key(|s| s.at);
             // Sends with `at <= now` are consumed at the start of cycle
             // `now`, so the interrupted run had drained everything
             // scheduled before `start_cycle`.
-            queue.retain(|s| s.at >= start_cycle);
+            let mut next = queue.partition_point(|s| s.at < start_cycle);
             for now in start_cycle..*cycles {
-                while let Some(s) = queue.first() {
-                    if s.at > now {
-                        break;
-                    }
-                    let s = queue.remove(0);
+                while let Some(s) = queue.get(next).filter(|s| s.at <= now) {
                     sim.send(s.src % n, s.dest % n, &s.payload);
+                    next += 1;
                 }
-                apply_due_injections(&mut sim, &mut pending, &mut active, now);
+                pending.apply_due(&mut sim, &mut active, now);
                 sim.tick();
                 take_checkpoint(&mut hook, scenario, &sim, None, RunPhase::Main, now + 1)?;
             }

@@ -294,6 +294,15 @@ struct QueuedMessage {
     requested_at: u64,
 }
 
+/// A transaction drained from an endpoint by the per-tick harvest.
+#[derive(Debug, Clone)]
+pub(crate) enum Finished {
+    /// Acknowledged by the destination.
+    Completed(MessageOutcome),
+    /// Given up after the retry budget ran out.
+    Abandoned(MessageOutcome),
+}
+
 /// A network endpoint: one transmit engine (a processor stalls on its
 /// outstanding message — the Figure 3 "parallelism limited" model) plus
 /// one receive engine per input port.
@@ -424,6 +433,13 @@ impl Endpoint {
     /// Drains the outcomes of abandoned transactions (max retries hit).
     pub fn take_abandoned(&mut self) -> Vec<MessageOutcome> {
         std::mem::take(&mut self.abandoned)
+    }
+
+    /// Appends every completed, then every abandoned, outcome to `out`
+    /// — the harvest order — keeping this endpoint's buffers for reuse.
+    pub(crate) fn drain_finished(&mut self, out: &mut Vec<Finished>) {
+        out.extend(self.completed.drain(..).map(Finished::Completed));
+        out.extend(self.abandoned.drain(..).map(Finished::Abandoned));
     }
 
     /// Messages delivered *to* this endpoint.

@@ -8,7 +8,7 @@
 //! and [`SimConfig`]; the stochastic part — contention blocking, fast
 //! reclamation, fault-induced retries — is sampled from per-stage
 //! cluster models with a seeded [`RandomSource`], then folded into the
-//! same [`LatencyStats`] histogram the simulator uses, so the output is
+//! same [`Histogram`] the simulator uses, so the output is
 //! directly comparable (p50/p95/p99) with a cycle-accurate replay.
 //!
 //! ## Correspondence to the S13 timing model
@@ -37,10 +37,10 @@ use crate::experiment::LoadPoint;
 use crate::message::{DeliveryStatus, FailureKind, MessageOutcome};
 use crate::network::SimConfig;
 use crate::scenario::{Scenario, ScenarioResult, SendSpec, WorkloadSpec};
-use crate::stats::LatencyStats;
 use crate::workload::{StreamRecipe, StreamSeeds};
 use metro_core::header::HeaderPlan;
 use metro_core::RandomSource;
+use metro_telemetry::Histogram;
 use metro_topo::multibutterfly::MultibutterflySpec;
 
 use super::boundary_delay;
@@ -290,9 +290,9 @@ pub struct LatencyEstimate {
     pub result: ScenarioResult,
     /// Total-latency samples (request → acknowledgment) from the
     /// statistics window.
-    pub total_latency: LatencyStats,
+    pub total_latency: Histogram,
     /// Network-latency samples (first injection → acknowledgment).
-    pub network_latency: LatencyStats,
+    pub network_latency: Histogram,
 }
 
 /// Estimates a scenario's latency profile without simulating it.
@@ -414,8 +414,8 @@ fn estimate_load(scenario: &Scenario) -> LatencyEstimate {
     let horizon = total + drain;
     let mut src_free = vec![0u64; n];
     let mut outcomes = Vec::with_capacity(arrivals.len());
-    let mut total_hist = LatencyStats::new();
-    let mut network_hist = LatencyStats::new();
+    let mut total_hist = Histogram::new();
+    let mut network_hist = Histogram::new();
     let mut delivered = 0u64;
     let mut retries_total = 0u64;
     let mut in_flight = 0u64;
@@ -504,8 +504,8 @@ fn estimate_sends(scenario: &Scenario, sends: &[SendSpec], cycles: u64) -> Laten
     queue.sort_by_key(|s| s.at);
     let mut src_free = vec![0u64; n];
     let mut outcomes = Vec::with_capacity(queue.len());
-    let mut total_hist = LatencyStats::new();
-    let mut network_hist = LatencyStats::new();
+    let mut total_hist = Histogram::new();
+    let mut network_hist = Histogram::new();
     let mut delivered = 0u64;
     let mut in_flight = 0u64;
     let master = RandomSource::new(scenario.seed ^ SAMPLE_SALT);

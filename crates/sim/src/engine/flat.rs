@@ -7,18 +7,18 @@
 //! coming cycle) — and swaps them once per tick. The steady-state step
 //! performs no heap allocation, and fault state is resolved into flat
 //! tables in [`Engine::apply_faults`] so the hot path never queries the
-//! fault set. With `SimConfig::shards > 1` the same dataflow fans out
-//! across cores through [`super::shard`], bit-identically.
+//! fault set. The step itself lives in [`super::shard`]: one shard-owned
+//! step that runs inline with one shard and fans out across cores,
+//! bit-identically, with `SimConfig::shards > 1`.
 
 use super::{boundary_delay, shard::ShardState, Engine, StepCtx};
 use crate::network::SimConfig;
-use crate::shard::ShardPlan;
 use crate::wire::Wire;
 use metro_core::word::phit;
 use metro_core::Word;
 use metro_telemetry::{StateError, StateReader, StateWriter};
 use metro_topo::fault::FaultSet;
-use metro_topo::flatlinks::{FlatLinks, FlatTarget};
+use metro_topo::flatlinks::FlatLinks;
 use metro_topo::graph::LinkId;
 use metro_topo::multibutterfly::Multibutterfly;
 
@@ -178,9 +178,9 @@ pub struct FlatEngine {
     /// these are rebuilt in [`Engine::apply_faults`], never per tick.
     pub(crate) inj_transparent: Vec<bool>,
     pub(crate) stage_transparent: Vec<bool>,
-    /// Sharded-step state when `SimConfig.shards` resolved to more
-    /// than one shard; `None` runs the classic single-threaded step.
-    pub(crate) shard: Option<Box<ShardState>>,
+    /// The shard partition (one shard runs the step inline) and the
+    /// multi-shard step's pool and staging buffers.
+    pub(crate) shard: ShardState,
 }
 
 impl FlatEngine {
@@ -202,21 +202,12 @@ impl FlatEngine {
         let inj_transparent = inj_wires.iter().map(Wire::is_transparent).collect();
         let stage_transparent = stage_wires.iter().map(Wire::is_transparent).collect();
         // Resolve the shard knob: 0 = host parallelism, then cap at
-        // the router count (a shard without routers is pure overhead);
-        // one effective shard means the classic single-threaded step.
+        // the router count (a shard without routers is pure overhead).
         let requested = match config.shards {
             0 => metro_harness::default_jobs().get(),
             n => n,
         };
-        let effective = requested.min(links.n_routers()).max(1);
-        let shard = (effective > 1).then(|| {
-            Box::new(ShardState {
-                plan: ShardPlan::build(&links, effective),
-                pool: None,
-                fwd_inj: vec![Word::Empty; links.n_ep_slots()],
-                fwd_stage: vec![Word::Empty; links.n_bwd_slots()],
-            })
-        });
+        let shard = ShardState::new(&links, requested.min(links.n_routers()).max(1));
         Self {
             cur: ChannelArena::idle(&links),
             next: ChannelArena::idle(&links),
@@ -230,119 +221,11 @@ impl FlatEngine {
             links,
         }
     }
-
-    /// The single-threaded flat cycle: endpoints and routers read
-    /// registered inputs from the `cur` arena and drive the bus; wires
-    /// consume the bus and write every slot of the `next` arena; the
-    /// arenas swap. The swap is sound because every linked slot is
-    /// written every cycle (unlinked slots stay `Empty` in both
-    /// buffers), and nothing here allocates.
-    fn step_single(&mut self, ctx: StepCtx<'_>) {
-        let Self {
-            links,
-            cur,
-            next,
-            bus,
-            inj_wires,
-            stage_wires,
-            router_dead,
-            inj_transparent,
-            stage_transparent,
-            shard: _,
-        } = self;
-        let ep = links.ep_ports();
-
-        // 1. Endpoints compute their outputs from last cycle's inputs.
-        for (e, endpoint) in ctx.endpoints.iter_mut().enumerate() {
-            let lo = e * ep;
-            let hi = lo + ep;
-            endpoint.tick_into(
-                ctx.now,
-                &cur.ep_out_rev[lo..hi],
-                &cur.ep_out_bcb[lo..hi],
-                &cur.ep_in_fwd[lo..hi],
-                &mut bus.ep_out_fwd[lo..hi],
-                &mut bus.ep_in_rev[lo..hi],
-            );
-        }
-
-        // 2. Routers compute their outputs.
-        for (s, stage) in ctx.routers.iter_mut().enumerate() {
-            let nf = links.forward_ports(s);
-            let nb = links.backward_ports(s);
-            for (r, router) in stage.iter_mut().enumerate() {
-                let f0 = links.fslot(s, r, 0);
-                let b0 = links.bslot(s, r, 0);
-                if router_dead[links.router_index(s, r)] {
-                    bus.out_bwd[b0..b0 + nb].fill(Word::Empty);
-                    bus.out_fwd[f0..f0 + nf].fill(Word::Empty);
-                    bus.out_bcb[f0..f0 + nf].fill(false);
-                    continue;
-                }
-                router.tick_into(
-                    &cur.fwd_in[f0..f0 + nf],
-                    &cur.rev_in[b0..b0 + nb],
-                    &cur.bcb_in[b0..b0 + nb],
-                    &mut bus.out_bwd[b0..b0 + nb],
-                    &mut bus.out_fwd[f0..f0 + nf],
-                    &mut bus.out_bcb[f0..f0 + nf],
-                );
-            }
-        }
-
-        // 3. Wires advance, writing every slot of the next arena.
-        // Transparent wires (zero delay, fault-free — the common RN1
-        // boundary) are identity functions: copy bus slots straight into
-        // the next arena and never touch the `Wire` state.
-        for (i, wire) in inj_wires.iter_mut().enumerate() {
-            let t = links.inj_target(i);
-            let (fwd_o, rev_o, bcb_o) = if inj_transparent[i] {
-                (bus.ep_out_fwd[i], bus.out_fwd[t], bus.out_bcb[t])
-            } else {
-                wire.advance(bus.ep_out_fwd[i], bus.out_fwd[t], bus.out_bcb[t])
-            };
-            next.fwd_in[t] = fwd_o;
-            next.ep_out_rev[i] = rev_o;
-            next.ep_out_bcb[i] = bcb_o;
-        }
-        for (j, wire) in stage_wires.iter_mut().enumerate() {
-            match links.bwd_target(j) {
-                FlatTarget::Fwd(t) => {
-                    let t = t as usize;
-                    let (fwd_o, rev_o, bcb_o) = if stage_transparent[j] {
-                        (bus.out_bwd[j], bus.out_fwd[t], bus.out_bcb[t])
-                    } else {
-                        wire.advance(bus.out_bwd[j], bus.out_fwd[t], bus.out_bcb[t])
-                    };
-                    next.fwd_in[t] = fwd_o;
-                    next.rev_in[j] = rev_o;
-                    next.bcb_in[j] = bcb_o;
-                }
-                FlatTarget::Endpoint(i) => {
-                    let i = i as usize;
-                    let (fwd_o, rev_o) = if stage_transparent[j] {
-                        (bus.out_bwd[j], bus.ep_in_rev[i])
-                    } else {
-                        let (f, r, _) = wire.advance(bus.out_bwd[j], bus.ep_in_rev[i], false);
-                        (f, r)
-                    };
-                    next.ep_in_fwd[i] = fwd_o;
-                    next.rev_in[j] = rev_o;
-                    next.bcb_in[j] = false;
-                }
-            }
-        }
-        std::mem::swap(cur, next);
-    }
 }
 
 impl Engine for FlatEngine {
     fn step(&mut self, ctx: StepCtx<'_>) {
-        if self.shard.is_some() {
-            super::shard::step_sharded(self, ctx);
-        } else {
-            self.step_single(ctx);
-        }
+        super::shard::step(self, ctx);
     }
 
     fn wires_quiet(&self) -> bool {
@@ -376,7 +259,7 @@ impl Engine for FlatEngine {
     }
 
     fn shards(&self) -> usize {
-        self.shard.as_ref().map_or(1, |s| s.plan.shards())
+        self.shard.plan.shards()
     }
 
     fn clone_box(&self) -> Box<dyn Engine> {

@@ -22,9 +22,10 @@ pub mod flat;
 pub mod reference;
 pub mod shard;
 
-use crate::endpoint::Endpoint;
+use crate::endpoint::{Endpoint, Finished};
 use crate::wire::Wire;
 use metro_core::Router;
+use metro_telemetry::{CounterCell, SlotMark};
 use metro_topo::fault::FaultSet;
 use metro_topo::multibutterfly::Multibutterfly;
 
@@ -149,11 +150,23 @@ mod sealed {
     impl Sealed for super::reference::ReferenceEngine {}
 }
 
+/// What one shard of a step hands back to the orchestrator: the
+/// counter changes of the routers it ticked (folded into the telemetry
+/// series at the next sync) and the transactions its endpoints
+/// finished, in endpoint order. Owned by the orchestrator, one per
+/// shard, and reused every cycle.
+#[derive(Debug, Clone, Default)]
+pub struct ShardLane {
+    pub(crate) pending: CounterCell,
+    pub(crate) finished: Vec<Finished>,
+}
+
 /// Everything a cycle engine may touch during one step: the shared
 /// component state owned by the orchestrator. Engines read last-tick
 /// channel state from their own arenas and drive components through
-/// this borrow bundle; they never see telemetry, stats, or healing
-/// state.
+/// this borrow bundle. Of the telemetry they see only the in-place
+/// tally (marks and per-shard lanes); stats and healing state stay
+/// with the orchestrator.
 #[derive(Debug)]
 pub struct StepCtx<'a> {
     /// The current clock cycle.
@@ -168,6 +181,13 @@ pub struct StepCtx<'a> {
     pub routers: &'a mut [Vec<Router>],
     /// Every endpoint NIC.
     pub endpoints: &'a mut [Endpoint],
+    /// The telemetry interval now accumulating
+    /// ([`metro_telemetry::CounterLedger`]'s epoch).
+    pub epoch: u64,
+    /// Every router's change mark, in flat (stage-major) router order.
+    pub marks: &'a mut [SlotMark],
+    /// One lane per shard ([`Engine::shards`]).
+    pub lanes: &'a mut [ShardLane],
 }
 
 /// The sealed cycle-engine interface: step the network one clock,

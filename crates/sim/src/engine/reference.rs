@@ -4,12 +4,12 @@
 //! executable spec the flat engine is proven bit-identical against.
 
 use super::flat::{restore_flags, restore_words, save_flags, save_words};
-use super::{boundary_delay, Engine, StepCtx};
+use super::{boundary_delay, Engine, ShardLane, StepCtx};
 use crate::endpoint::EndpointIo;
 use crate::network::SimConfig;
 use crate::wire::Wire;
 use metro_core::{BwdIn, FwdIn, TickOutput, Word};
-use metro_telemetry::{StateError, StateReader, StateWriter};
+use metro_telemetry::{StateError, StateReader, StateWriter, TallyLane};
 use metro_topo::fault::FaultSet;
 use metro_topo::graph::{LinkId, LinkTarget};
 use metro_topo::multibutterfly::Multibutterfly;
@@ -98,8 +98,13 @@ impl Engine for ReferenceEngine {
     fn step(&mut self, ctx: StepCtx<'_>) {
         let stages = ctx.topo.stages();
         let ep = ctx.topo.endpoint_ports();
+        let [ShardLane { pending, finished }] = ctx.lanes else {
+            panic!("the reference engine takes exactly one lane");
+        };
+        let mut tally = TallyLane::new(ctx.epoch, ctx.marks, pending);
 
-        // 1. Endpoints compute their outputs from last cycle's inputs.
+        // 1. Endpoints compute their outputs from last cycle's inputs;
+        // finished transactions are harvested right after each tick.
         let mut ep_drive = Vec::with_capacity(ctx.endpoints.len());
         for (e, endpoint) in ctx.endpoints.iter_mut().enumerate() {
             let io = EndpointIo {
@@ -108,10 +113,13 @@ impl Engine for ReferenceEngine {
                 in_fwd_in: self.ep_in_fwd[e].clone(),
             };
             ep_drive.push(endpoint.tick(ctx.now, &io));
+            endpoint.drain_finished(finished);
         }
 
-        // 2. Routers compute their outputs.
+        // 2. Routers compute their outputs; each tallies its counter
+        // change for the telemetry ledger.
         let mut router_out: Vec<Vec<TickOutput>> = Vec::with_capacity(stages);
+        let mut flat = 0;
         for s in 0..stages {
             let st = ctx.topo.stage_spec(s);
             let mut stage_out = Vec::with_capacity(ctx.routers[s].len());
@@ -126,8 +134,12 @@ impl Engine for ReferenceEngine {
                 }
                 let fwd = FwdIn::data(&self.fwd_in[s][r]);
                 let bwd = BwdIn::new(&self.rev_in[s][r], &self.bcb_in[s][r]);
-                stage_out.push(ctx.routers[s][r].tick(&fwd, &bwd));
+                let router = &mut ctx.routers[s][r];
+                let before = *router.counters();
+                stage_out.push(router.tick(&fwd, &bwd));
+                tally.record(flat + r, &before, router.counters());
             }
+            flat += ctx.routers[s].len();
             router_out.push(stage_out);
         }
 

@@ -68,7 +68,8 @@ impl NetworkSim {
         // post-masking retry, attributed to the entry router.
         if !self.healed_links.is_empty() || !self.healed_injections.is_empty() {
             let (r0, _) = self.topo.injection(ev.src, ev.port);
-            self.routers[0][r0].note_event(RouterCounter::RetriesAfterMask);
+            self.router_for_update(0, r0)
+                .note_event(RouterCounter::RetriesAfterMask);
         }
         // Blocking and fast reclamation are congestion, not faults.
         if matches!(
@@ -131,7 +132,8 @@ impl NetworkSim {
                 let ds = plan.downstream_stage;
                 if ds < routers_on_path.len() {
                     let dr = routers_on_path[ds];
-                    self.routers[ds][dr].note_event(RouterCounter::ChecksumMismatches);
+                    self.router_for_update(ds, dr)
+                        .note_event(RouterCounter::ChecksumMismatches);
                     match (plan.upstream_stage, plan.upstream_backward_port) {
                         (Some(us), Some(ub)) => {
                             self.mask_link_ends(us, routers_on_path[us], ub);
@@ -149,7 +151,8 @@ impl NetworkSim {
                 // checksum — count it where it was detected.
                 if stage < routers_on_path.len() {
                     let r = routers_on_path[stage];
-                    self.routers[stage][r].note_event(RouterCounter::ChecksumMismatches);
+                    self.router_for_update(stage, r)
+                        .note_event(RouterCounter::ChecksumMismatches);
                     self.mask_link_ends(stage, r, backward_port);
                 }
             }
@@ -175,11 +178,11 @@ impl NetworkSim {
         }
         let mut cfg = self.routers[stage][router].config().clone();
         cfg.set_backward_mode(b, PortMode::DisabledDriven);
-        self.routers[stage][router].apply_config(cfg);
+        self.router_for_update(stage, router).apply_config(cfg);
         if let LinkTarget::Router { router: dr, port } = self.topo.link(stage, router, b) {
             let mut cfg = self.routers[stage + 1][dr].config().clone();
             cfg.set_forward_mode(port, PortMode::DisabledDriven);
-            self.routers[stage + 1][dr].apply_config(cfg);
+            self.router_for_update(stage + 1, dr).apply_config(cfg);
         }
         self.healed_links.push(link);
     }

@@ -73,7 +73,7 @@ pub use network::{EngineKind, NetworkSim, SimConfig};
 pub use scenario::{
     run_scenario, FaultInjection, RepairSet, Scenario, ScenarioResult, SendSpec, WorkloadSpec,
 };
-pub use stats::{LatencyStats, NetworkStats};
+pub use stats::NetworkStats;
 pub use trace::{TraceEvent, TraceLog, TraceRecord};
 pub use traffic::{TrafficError, TrafficPattern};
 pub use workload::{ArrivalProcess, RateMap, TraceEntry, WorkloadDriver, WorkloadError};

@@ -313,22 +313,40 @@ impl ScenarioResult {
     }
 }
 
-/// Applies every injection due at or before `now`, cumulatively.
-pub(crate) fn apply_due_injections(
-    sim: &mut NetworkSim,
-    pending: &mut Vec<FaultInjection>,
-    active: &mut FaultSet,
-    now: u64,
-) {
-    let mut changed = false;
-    while pending.first().is_some_and(|i| i.at <= now) {
-        let injection = pending.remove(0);
-        active.merge(&injection.faults);
-        injection.repairs.apply_to(active);
-        changed = true;
+/// A scenario's timed injections, stably sorted by cycle, consumed
+/// through a cursor: entries sharing one `at` keep their file order,
+/// and each step is O(entries applied), not O(entries left).
+#[derive(Debug, Clone)]
+pub(crate) struct InjectionSchedule {
+    list: Vec<FaultInjection>,
+    next: usize,
+}
+
+impl InjectionSchedule {
+    pub(crate) fn new(injections: &[FaultInjection]) -> Self {
+        let mut list = injections.to_vec();
+        list.sort_by_key(|i| i.at);
+        Self { list, next: 0 }
     }
-    if changed {
-        sim.apply_faults(active.clone());
+
+    /// Merges every not-yet-consumed injection with `at <= now` into
+    /// `active`, returning whether any did.
+    pub(crate) fn merge_due(&mut self, active: &mut FaultSet, now: u64) -> bool {
+        let start = self.next;
+        while let Some(injection) = self.list.get(self.next).filter(|i| i.at <= now) {
+            active.merge(&injection.faults);
+            injection.repairs.apply_to(active);
+            self.next += 1;
+        }
+        self.next > start
+    }
+
+    /// Applies every injection due at or before `now` to the sim,
+    /// cumulatively.
+    pub(crate) fn apply_due(&mut self, sim: &mut NetworkSim, active: &mut FaultSet, now: u64) {
+        if self.merge_due(active, now) {
+            sim.apply_faults(active.clone());
+        }
     }
 }
 
@@ -520,9 +538,9 @@ mod tests {
         // Replay manually up to cycle 30 and check the live fault set.
         let mut sim = NetworkSim::from_scenario(&s).unwrap();
         let mut active = s.faults.clone();
-        let mut pending = s.injections.clone();
+        let mut pending = InjectionSchedule::new(&s.injections);
         for now in 0..30 {
-            apply_due_injections(&mut sim, &mut pending, &mut active, now);
+            pending.apply_due(&mut sim, &mut active, now);
             sim.tick();
         }
         assert!(
@@ -559,18 +577,95 @@ mod tests {
         ];
         let mut sim = NetworkSim::from_scenario(&s).unwrap();
         let mut active = s.faults.clone();
-        let mut pending = s.injections.clone();
+        let mut pending = InjectionSchedule::new(&s.injections);
         for now in 0..15 {
-            apply_due_injections(&mut sim, &mut pending, &mut active, now);
+            pending.apply_due(&mut sim, &mut active, now);
             sim.tick();
         }
         assert!(sim.faults().link_dead(broken), "fault active before repair");
         assert!(sim.faults().router_dead(1, 0));
         for now in 15..25 {
-            apply_due_injections(&mut sim, &mut pending, &mut active, now);
+            pending.apply_due(&mut sim, &mut active, now);
             sim.tick();
         }
         assert!(sim.faults().is_empty(), "repair cleared every fault");
+    }
+
+    #[test]
+    fn injections_sharing_a_cycle_apply_in_file_order() {
+        // A break and its repair scheduled for the same cycle: file
+        // order decides the outcome, so the schedule must keep it.
+        let broken = LinkId::new(0, 1, 0);
+        let mut f = FaultSet::new();
+        f.break_link(broken, FaultKind::Dead);
+        let brk = FaultInjection {
+            at: 10,
+            faults: f,
+            repairs: RepairSet::default(),
+        };
+        let fix = FaultInjection {
+            at: 10,
+            faults: FaultSet::new(),
+            repairs: RepairSet {
+                links: vec![broken],
+                routers: vec![],
+                endpoints: vec![],
+            },
+        };
+        let late = FaultInjection {
+            at: 3,
+            ..fix.clone()
+        };
+        for (order, dead) in [
+            (vec![brk.clone(), fix.clone()], false),
+            (vec![fix, brk], true),
+        ] {
+            let list = [order[0].clone(), late.clone(), order[1].clone()];
+            let mut schedule = InjectionSchedule::new(&list);
+            let mut active = FaultSet::new();
+            assert!(
+                schedule.merge_due(&mut active, 9),
+                "the cycle-3 repair is due"
+            );
+            assert!(!active.link_dead(broken));
+            assert!(schedule.merge_due(&mut active, 10));
+            assert_eq!(active.link_dead(broken), dead);
+            assert!(
+                !schedule.merge_due(&mut active, 10_000),
+                "each entry applies once"
+            );
+        }
+    }
+
+    #[test]
+    fn sends_sharing_a_cycle_are_offered_in_file_order() {
+        let send = |at: u64, src: usize, dest: usize, w: u16| SendSpec {
+            at,
+            src,
+            dest,
+            payload: vec![w; 3],
+        };
+        // Two sends from one source in cycle 5 queue in file order at
+        // its NIC; the cycle-0 send listed last still goes first.
+        let sends = vec![send(5, 1, 6, 1), send(5, 1, 4, 2), send(0, 2, 3, 3)];
+        let s = Scenario::scripted("ties", MultibutterflySpec::small8(), sends, 600);
+        let result = run_scenario(&s).unwrap();
+
+        let mut sim = NetworkSim::from_scenario(&s).unwrap();
+        for now in 0..600 {
+            if now == 0 {
+                sim.send(2, 3, &[3; 3]);
+            }
+            if now == 5 {
+                sim.send(1, 6, &[1; 3]);
+                sim.send(1, 4, &[2; 3]);
+            }
+            sim.tick();
+        }
+        let manual = sim.drain_outcomes();
+        assert_eq!(result.outcomes, manual);
+        let dests: Vec<usize> = result.outcomes.iter().map(|o| o.dest).collect();
+        assert_eq!(dests, [3, 6, 4]);
     }
 
     #[test]

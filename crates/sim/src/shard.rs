@@ -1,6 +1,6 @@
 //! Deterministic partitioning of a flat fabric into tick shards.
 //!
-//! The flat engine's cycle (see `network::tick_flat`) is three phases
+//! The flat engine's cycle (see `engine::shard`) is three phases
 //! over disjoint slot ranges: components drive the bus, wires consume
 //! the bus into the next arena, and staged forward-lane words are
 //! gathered to their (possibly remote) target slots. Because the slot

@@ -1,16 +1,11 @@
 //! Latency, throughput, and retry statistics.
 //!
-//! The latency collector is the telemetry crate's
-//! [`Histogram`](metro_telemetry::Histogram), re-exported under its
-//! historical name: one sample type flows from the simulator through
-//! snapshots to `metro report`.
+//! The latency collector is the telemetry crate's [`Histogram`]: one
+//! sample type flows from the simulator through snapshots to
+//! `metro report`.
 
 use crate::message::{FailureKind, MessageOutcome};
-use metro_telemetry::{StateError, StateReader, StateWriter};
-
-/// An online collector of latency samples with percentile queries —
-/// the telemetry histogram under its historical simulator name.
-pub type LatencyStats = metro_telemetry::Histogram;
+use metro_telemetry::{Histogram, StateError, StateReader, StateWriter};
 
 /// Aggregate statistics over a simulation window. Counters are `u64`
 /// (platform-independent, matching cycle types and telemetry cells).
@@ -18,9 +13,9 @@ pub type LatencyStats = metro_telemetry::Histogram;
 pub struct NetworkStats {
     /// Total-latency samples (request → acknowledgment), the Figure 3
     /// metric.
-    pub total_latency: LatencyStats,
+    pub total_latency: Histogram,
     /// Network-latency samples (first injection → acknowledgment).
-    pub network_latency: LatencyStats,
+    pub network_latency: Histogram,
     /// Messages delivered.
     pub delivered: u64,
     /// Messages abandoned (max-retry exhaustion).
@@ -142,7 +137,7 @@ mod tests {
 
     #[test]
     fn percentiles_use_nearest_rank() {
-        let mut s = LatencyStats::new();
+        let mut s = Histogram::new();
         for v in [10, 20, 30, 40, 50, 60, 70, 80, 90, 100] {
             s.record(v);
         }
@@ -156,7 +151,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_cover_the_range() {
-        let mut s = LatencyStats::new();
+        let mut s = Histogram::new();
         for v in [10, 11, 25, 26, 26, 40] {
             s.record(v);
         }
@@ -167,12 +162,12 @@ mod tests {
 
     #[test]
     fn histogram_of_empty_is_empty() {
-        assert!(LatencyStats::new().histogram(5).is_empty());
+        assert!(Histogram::new().histogram(5).is_empty());
     }
 
     #[test]
     fn empty_stats_are_zero() {
-        let mut s = LatencyStats::new();
+        let mut s = Histogram::new();
         assert_eq!(s.percentile(50.0), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.count(), 0);
@@ -180,7 +175,7 @@ mod tests {
 
     #[test]
     fn empty_percentiles_are_zero_at_every_rank() {
-        let mut s = LatencyStats::new();
+        let mut s = Histogram::new();
         for p in [0.0, 0.1, 50.0, 99.9, 100.0] {
             assert_eq!(s.percentile(p), 0);
         }
@@ -190,7 +185,7 @@ mod tests {
 
     #[test]
     fn single_sample_is_every_percentile() {
-        let mut s = LatencyStats::new();
+        let mut s = Histogram::new();
         s.record(42);
         for p in [0.0, 1.0, 50.0, 95.0, 100.0] {
             assert_eq!(s.percentile(p), 42, "p{p}");
@@ -201,7 +196,7 @@ mod tests {
 
     #[test]
     fn p0_and_p100_clamp_to_min_and_max() {
-        let mut s = LatencyStats::new();
+        let mut s = Histogram::new();
         for v in [30, 10, 20] {
             s.record(v);
         }
@@ -217,7 +212,7 @@ mod tests {
     fn duplicate_heavy_distribution_percentiles() {
         // 97 copies of 5 and 3 copies of 1000: the heavy value owns
         // every rank up to p97; the tail appears only above it.
-        let mut s = LatencyStats::new();
+        let mut s = Histogram::new();
         for _ in 0..97 {
             s.record(5);
         }

@@ -1,12 +1,12 @@
 //! Cycle-stamped event tracing.
 //!
 //! The routers count events (grants, blocks, turns, drops); the trace
-//! log adds *when* and *where*. The simulator's
-//! [`TelemetryRegistry`](metro_telemetry::TelemetryRegistry) computes
-//! per-(stage, router) counter deltas at every telemetry interval, and
-//! [`TraceLog::observe`] converts each nonzero delta into stamped
-//! [`TraceEvent`]s — the trace is a *consumer* of registry deltas, not
-//! a second counter-diffing mechanism. Coarsening the interval
+//! log adds *when* and *where*. At every telemetry interval the
+//! simulator's [`CounterLedger`](metro_telemetry::CounterLedger) hands
+//! over each router's nonzero counter delta, and [`TraceLog::observe`]
+//! converts it into stamped [`TraceEvent`]s — the trace is a
+//! *consumer* of registry deltas, not a second counter-diffing
+//! mechanism. Coarsening the interval
 //! (`NetworkSim::set_telemetry_interval`) coarsens the stamps to the
 //! sync grid without losing events.
 //!
@@ -14,7 +14,7 @@
 //! records are evicted as new ones arrive, so long runs trace at
 //! bounded memory.
 
-use metro_telemetry::{CounterBlock, RouterCounter};
+use metro_telemetry::{CounterCell, RouterCounter};
 use std::fmt;
 
 /// One traced event.
@@ -109,24 +109,22 @@ impl TraceLog {
         self.records.push(TraceRecord { at, event });
     }
 
-    /// Converts one sync's registry deltas into stamped events: each
-    /// grant/block/turn/drop counted since the previous sync becomes
-    /// one record stamped `now`.
-    pub fn observe(&mut self, now: u64, deltas: &CounterBlock) {
-        for ((stage, router), cell) in deltas.iter() {
-            if cell.is_zero() {
-                continue;
-            }
-            let pairs = [
-                (RouterCounter::Grants, TraceEvent::Granted { stage, router }),
-                (RouterCounter::Blocks, TraceEvent::Blocked { stage, router }),
-                (RouterCounter::Turns, TraceEvent::Turned { stage, router }),
-                (RouterCounter::Drops, TraceEvent::Dropped { stage, router }),
-            ];
-            for (counter, event) in pairs {
-                for _ in 0..cell.get(counter) {
-                    self.push(now, event);
-                }
+    /// Converts one router's delta since the previous sync into stamped
+    /// events: each grant/block/turn/drop it counted becomes one record
+    /// stamped `now`.
+    pub fn observe(&mut self, now: u64, stage: usize, router: usize, delta: &CounterCell) {
+        if delta.is_zero() {
+            return;
+        }
+        let pairs = [
+            (RouterCounter::Grants, TraceEvent::Granted { stage, router }),
+            (RouterCounter::Blocks, TraceEvent::Blocked { stage, router }),
+            (RouterCounter::Turns, TraceEvent::Turned { stage, router }),
+            (RouterCounter::Drops, TraceEvent::Dropped { stage, router }),
+        ];
+        for (counter, event) in pairs {
+            for _ in 0..delta.get(counter) {
+                self.push(now, event);
             }
         }
     }
@@ -179,18 +177,18 @@ mod tests {
     use super::*;
     use metro_telemetry::CounterBlock;
 
-    /// A 1×1 delta block with the given grant/block counts.
-    fn deltas(grants: u64, blocks: u64) -> CounterBlock {
-        let mut b = CounterBlock::new(&[1]);
-        b.cell_mut(0, 0).add(RouterCounter::Grants, grants);
-        b.cell_mut(0, 0).add(RouterCounter::Blocks, blocks);
-        b
+    /// A delta cell with the given grant/block counts.
+    fn deltas(grants: u64, blocks: u64) -> CounterCell {
+        let mut c = CounterCell::new();
+        c.add(RouterCounter::Grants, grants);
+        c.add(RouterCounter::Blocks, blocks);
+        c
     }
 
     #[test]
     fn observe_emits_one_event_per_delta_count() {
         let mut log = TraceLog::new(0);
-        log.observe(1, &deltas(2, 1));
+        log.observe(1, 0, 0, &deltas(2, 1));
         let grants = log.of_kind(|e| matches!(e, TraceEvent::Granted { .. }));
         let blocks = log.of_kind(|e| matches!(e, TraceEvent::Blocked { .. }));
         assert_eq!(grants.len(), 2);
@@ -198,7 +196,7 @@ mod tests {
         assert!(log.records().iter().all(|r| r.at == 1));
 
         // The next sync's deltas stand alone — no internal diffing.
-        log.observe(5, &deltas(1, 0));
+        log.observe(5, 0, 0, &deltas(1, 0));
         assert_eq!(
             log.of_kind(|e| matches!(e, TraceEvent::Granted { .. }))
                 .len(),
@@ -210,7 +208,7 @@ mod tests {
     #[test]
     fn zero_deltas_emit_nothing() {
         let mut log = TraceLog::new(0);
-        log.observe(3, &deltas(0, 0));
+        log.observe(3, 0, 0, &deltas(0, 0));
         assert!(log.records().is_empty());
     }
 
@@ -220,7 +218,9 @@ mod tests {
         b.cell_mut(0, 1).add(RouterCounter::Turns, 1);
         b.cell_mut(1, 0).add(RouterCounter::Drops, 2);
         let mut log = TraceLog::new(0);
-        log.observe(9, &b);
+        for ((stage, router), cell) in b.iter() {
+            log.observe(9, stage, router, cell);
+        }
         assert_eq!(
             log.records()[0].event,
             TraceEvent::Turned {
@@ -242,7 +242,7 @@ mod tests {
     fn capacity_bounds_the_log() {
         let mut log = TraceLog::new(3);
         for k in 0..5 {
-            log.observe(k, &deltas(1, 0));
+            log.observe(k, 0, 0, &deltas(1, 0));
         }
         assert_eq!(log.records().len(), 3);
         // Oldest evicted: stamps 2, 3, 4 survive.
@@ -253,10 +253,10 @@ mod tests {
     #[test]
     fn overflow_at_exact_capacity_evicts_exactly_one() {
         let mut log = TraceLog::new(2);
-        log.observe(0, &deltas(1, 0));
-        log.observe(1, &deltas(1, 0));
+        log.observe(0, 0, 0, &deltas(1, 0));
+        log.observe(1, 0, 0, &deltas(1, 0));
         assert_eq!(log.records().len(), 2, "at capacity, nothing evicted yet");
-        log.observe(2, &deltas(1, 0));
+        log.observe(2, 0, 0, &deltas(1, 0));
         assert_eq!(log.records().len(), 2);
         assert_eq!(log.records()[0].at, 1);
         assert_eq!(log.records()[1].at, 2);
@@ -264,7 +264,7 @@ mod tests {
         // A single observe delivering more events than capacity keeps
         // only the newest `capacity` records.
         let mut log = TraceLog::new(2);
-        log.observe(7, &deltas(5, 0));
+        log.observe(7, 0, 0, &deltas(5, 0));
         assert_eq!(log.records().len(), 2);
         assert!(log.records().iter().all(|r| r.at == 7));
     }
@@ -272,7 +272,7 @@ mod tests {
     #[test]
     fn render_stamps_every_line() {
         let mut log = TraceLog::new(0);
-        log.observe(4, &deltas(1, 1));
+        log.observe(4, 0, 0, &deltas(1, 1));
         log.record_completion(12, 3, 9, 2);
         let text = log.render();
         assert_eq!(
@@ -284,10 +284,10 @@ mod tests {
     #[test]
     fn clear_discards_records_only() {
         let mut log = TraceLog::new(0);
-        log.observe(1, &deltas(2, 0));
+        log.observe(1, 0, 0, &deltas(2, 0));
         log.clear();
         assert!(log.records().is_empty());
-        log.observe(2, &deltas(1, 0));
+        log.observe(2, 0, 0, &deltas(1, 0));
         assert_eq!(log.records().len(), 1, "observation continues after clear");
     }
 }

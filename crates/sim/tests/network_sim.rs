@@ -290,8 +290,8 @@ fn conversation_reverses_the_circuit_multiple_times() {
     // One grant per stage for the whole conversation (a single
     // circuit), but three forward reversals per stage (one per
     // segment's TURN).
-    let grants = sim.router_stat_total(|s| s.grants);
-    let turns = sim.router_stat_total(|s| s.turns);
+    let grants = sim.telemetry().counters().total(RouterCounter::Grants);
+    let turns = sim.telemetry().counters().total(RouterCounter::Turns);
     assert_eq!(grants, 3, "one circuit");
     assert_eq!(turns, 9, "three reversals per router");
 }
@@ -420,7 +420,7 @@ fn reset_stats_zeroes_every_registry_slot() {
 #[test]
 fn trace_interval_zero_clamps_to_every_cycle() {
     let mut sim = fig1_sim();
-    sim.set_trace_interval(0);
+    sim.set_telemetry_interval(0);
     assert_eq!(sim.telemetry().interval(), 1, "0 clamps to 1");
     sim.enable_trace(0);
     sim.send(4, 13, &[7; 5]);

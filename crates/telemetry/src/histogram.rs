@@ -1,8 +1,7 @@
 //! Latency histograms with percentile queries.
 //!
-//! This is the simulator's former `LatencyStats` type, folded into the
-//! telemetry crate so every layer shares one sample collector;
-//! `metro_sim` re-exports it under the old name.
+//! The simulator's latency collector lives in the telemetry crate so
+//! every layer shares one sample type.
 
 use crate::state::{StateError, StateReader, StateWriter};
 

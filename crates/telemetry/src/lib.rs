@@ -8,12 +8,15 @@
 //!   and flat (stage × router) registries, zero-alloc on the hot path.
 //!   `metro_core::Router` increments a `CounterCell` directly.
 //! * [`Histogram`] — latency samples with nearest-rank percentiles
-//!   (the simulator's former `LatencyStats`, re-exported there).
+//!   (the simulator's latency collector).
 //! * [`TimeSeries`] — decimated ring buffers: bounded memory over
 //!   unbounded runs, conserving counter totals.
-//! * [`TelemetryRegistry`] — owned by the simulator; rebased cumulative
-//!   counts, per-sync deltas (the trace log's input), and per-counter
-//!   series.
+//! * [`TelemetryRegistry`] — rebased cumulative counts, per-sync deltas
+//!   (the trace log's input), and per-counter series: what readers,
+//!   snapshots and checkpoints see.
+//! * [`CounterLedger`] — the simulator's live side of the registry:
+//!   shards tally counter changes in place, a sync folds one cell per
+//!   shard, and the registry is built only when read.
 //! * [`TelemetrySnapshot`] + [`snapshot`] codec — schema-versioned,
 //!   byte-stable JSON on the harness [`metro_harness::Json`] model; the
 //!   `results/<name>.telemetry.json` sidecar format.
@@ -28,6 +31,7 @@
 
 pub mod counters;
 pub mod histogram;
+pub mod ledger;
 pub mod metric;
 pub mod registry;
 pub mod report;
@@ -37,6 +41,7 @@ pub mod state;
 
 pub use counters::{CounterBlock, CounterCell};
 pub use histogram::{Histogram, HistogramSummary};
+pub use ledger::{CounterLedger, SlotMark, TallyLane};
 pub use metric::RouterCounter;
 pub use registry::TelemetryRegistry;
 pub use series::TimeSeries;

@@ -1,13 +1,14 @@
 //! The per-simulation telemetry registry.
 //!
-//! A [`TelemetryRegistry`] is owned by the simulator. At every
-//! telemetry interval the sim copies each router's raw [`CounterCell`]
-//! in with [`TelemetryRegistry::sync_slot`]; the registry maintains
-//! rebased cumulative counts (so a stats reset genuinely zeroes every
-//! slot without touching the routers), per-slot deltas since the
-//! previous sync (the trace log's food), and decimated network-wide
-//! time series per counter. All storage is allocated at construction;
-//! the sync path is index arithmetic and fixed-size copies only.
+//! A [`TelemetryRegistry`] holds rebased cumulative counts (so a stats
+//! reset genuinely zeroes every slot without touching the routers),
+//! per-slot deltas between the last two syncs (the trace log's food),
+//! and decimated network-wide time series per counter. It is the value
+//! snapshots, checkpoints and readers see. A running simulation keeps
+//! the live side in a [`crate::CounterLedger`], which counts in place
+//! and builds this registry only when it is read; the eager
+//! [`TelemetryRegistry::sync_slot`] path below is the reference the
+//! ledger is tested against.
 
 use crate::counters::{CounterBlock, CounterCell};
 use crate::metric::RouterCounter;
@@ -19,22 +20,22 @@ use crate::state::{StateError, StateReader, StateWriter};
 pub struct TelemetryRegistry {
     /// Raw router readings at the last stats reset; subtracted from
     /// every sync so the registry reads zero after a reset.
-    baseline: CounterBlock,
+    pub(crate) baseline: CounterBlock,
     /// Rebased cumulative counts as of the last sync.
-    current: CounterBlock,
+    pub(crate) current: CounterBlock,
     /// Per-slot change between the last two syncs.
-    deltas: CounterBlock,
+    pub(crate) deltas: CounterBlock,
     /// Network-total delta series, one per [`RouterCounter`].
-    series: Vec<TimeSeries>,
+    pub(crate) series: Vec<TimeSeries>,
     /// Cycles between syncs (≥ 1).
-    interval: u64,
+    pub(crate) interval: u64,
     /// Number of syncs folded in since the last reset.
-    syncs: u64,
+    pub(crate) syncs: u64,
     /// Network-total delta accumulated by the current sync pass —
     /// [`TelemetryRegistry::sync_slot`] folds each slot's delta in as
     /// it is computed, so [`TelemetryRegistry::finish_sync`] never
     /// rescans the whole block.
-    pending: CounterCell,
+    pub(crate) pending: CounterCell,
 }
 
 impl TelemetryRegistry {

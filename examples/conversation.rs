@@ -15,6 +15,7 @@
 use metro::sim::endpoint::{EndpointConfig, ReplyPolicy};
 use metro::sim::{NetworkSim, SimConfig};
 use metro::topo::MultibutterflySpec;
+use metro_telemetry::RouterCounter;
 
 fn main() {
     let config = SimConfig {
@@ -56,8 +57,8 @@ fn main() {
     }
     assert_eq!(delivered.len(), 3);
 
-    let grants = sim.router_stat_total(|s| s.grants);
-    let turns = sim.router_stat_total(|s| s.turns);
+    let grants = sim.telemetry().counters().total(RouterCounter::Grants);
+    let turns = sim.telemetry().counters().total(RouterCounter::Turns);
     println!("\nrouter totals: {grants} connection grants, {turns} forward reversals");
     println!("one circuit carried all three segments — connection setup paid once;");
     println!("each round-trip reversal cost only the pipeline flush/fill (§5.1).");
@@ -74,6 +75,6 @@ fn main() {
         separate.tick();
         cycles += 1;
     }
-    let grants3 = separate.router_stat_total(|s| s.grants);
+    let grants3 = separate.telemetry().counters().total(RouterCounter::Grants);
     println!("as three separate messages the routers granted {grants3} connections (3 circuits)");
 }
